@@ -260,7 +260,7 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessOutcome {
                 }
                 let started = std::time::Instant::now();
                 engine.begin_batch(workers);
-                engine.join_batch();
+                engine.join_batch().expect("flash phase completes");
                 best = best.min(started.elapsed().as_secs_f64());
                 engine.finish_batch();
                 digest = engine.stats().data_digest;

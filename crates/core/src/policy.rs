@@ -87,7 +87,7 @@ impl ControllerPolicy for VpassTuningPolicy {
 mod tests {
     use super::*;
     use rd_flash::NOMINAL_VPASS;
-    use rd_ftl::{Ssd, SsdConfig};
+    use rd_ftl::{Die, SsdConfig};
 
     fn tuning_ssd_config() -> SsdConfig {
         SsdConfig {
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn policy_tunes_valid_blocks_daily() {
-        let mut ssd = Ssd::with_policy(tuning_ssd_config(), VpassTuningPolicy::default()).unwrap();
+        let mut ssd = Die::with_policy(tuning_ssd_config(), VpassTuningPolicy::default()).unwrap();
         // Pre-wear so the disturb slope is visible, then write data.
         for b in 0..8 {
             ssd.chip_mut().cycle_block(b, 4_000).unwrap();
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn probe_reads_are_charged_to_the_controller() {
-        let mut ssd = Ssd::with_policy(tuning_ssd_config(), VpassTuningPolicy::default()).unwrap();
+        let mut ssd = Die::with_policy(tuning_ssd_config(), VpassTuningPolicy::default()).unwrap();
         for b in 0..8 {
             ssd.chip_mut().cycle_block(b, 4_000).unwrap();
         }
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn reads_remain_correct_under_tuning() {
-        let mut ssd = Ssd::with_policy(tuning_ssd_config(), VpassTuningPolicy::default()).unwrap();
+        let mut ssd = Die::with_policy(tuning_ssd_config(), VpassTuningPolicy::default()).unwrap();
         for b in 0..8 {
             ssd.chip_mut().cycle_block(b, 4_000).unwrap();
         }

@@ -34,6 +34,8 @@
 //! of batch N+1 — dies share no timing state, so the interleaving is
 //! bit-identical to running the batches back to back.
 
+use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -109,9 +111,10 @@ impl EngineConfig {
 
     /// The seed of a die's private RNG streams, derived from the base seed
     /// and the die's **global** index (`die_index_offset + die`) so die 0
-    /// of an unsharded engine reproduces the single-chip [`rd_ftl::Ssd`]
-    /// exactly, the other dies get decorrelated streams, and a shard's dies
-    /// match the monolithic engine's dies at the same global positions.
+    /// of an unsharded engine reproduces a standalone [`Die`] built from
+    /// `die` exactly, the other dies get decorrelated streams, and a
+    /// shard's dies match the monolithic engine's dies at the same global
+    /// positions.
     pub fn die_seed(&self, die: u32) -> u64 {
         let global = u64::from(self.die_index_offset) + u64::from(die);
         self.die.seed ^ global.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -218,14 +221,42 @@ fn empty_exec(start_digest: u64) -> DieExec {
     }
 }
 
-/// Result shipped back from a pool worker: the die (ownership returns to
-/// the engine), its recycled work buffer, and the flash-phase output.
-type PoolResult<P> = (usize, Die<P>, Vec<WorkItem>, DieExec);
+/// Result shipped back from a pool job: the die index, the die (ownership
+/// returns to the engine), its recycled work buffer, and the flash-phase
+/// output — or, if the die's flash phase panicked, which die was lost.
+type PoolResult<P> = Result<(usize, Die<P>, Vec<WorkItem>, DieExec), WorkerPanicked>;
 
 /// Both ends of the persistent pool-dispatch result channel.
 type ResultChannel<P> = (Sender<PoolResult<P>>, Receiver<PoolResult<P>>);
 
-/// A flash phase in flight on the pool (or already executed inline).
+/// A flash-phase job panicked on a pool lane. The lane survives, but the
+/// die the job owned is lost: its slot stays empty and every later use of
+/// the engine panics naming it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct WorkerPanicked {
+    /// Index of the die whose flash phase panicked.
+    pub die: u32,
+}
+
+impl fmt::Display for WorkerPanicked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "die {} poisoned by a worker panic", self.die)
+    }
+}
+
+impl std::error::Error for WorkerPanicked {}
+
+/// Panics for an empty die slot: the die's flash phase is out on the pool,
+/// or a worker panic lost it.
+#[cold]
+fn missing_die(die: usize, in_flight: bool) -> ! {
+    if in_flight {
+        panic!("die {die}'s flash phase in flight; join_batch() first");
+    }
+    panic!("{}", WorkerPanicked { die: die as u32 })
+}
+
+/// A flash phase in flight on the pool.
 #[derive(Debug)]
 struct Flight {
     /// Per-die results; `None` slots are still executing on the pool.
@@ -338,9 +369,10 @@ impl Window {
 #[derive(Debug)]
 pub struct Engine<P: ControllerPolicy = NoMitigation> {
     config: EngineConfig,
-    /// The dies. A slot is `None` only while that die's flash phase is
+    /// The dies. A slot is `None` while that die's flash phase is
     /// executing on the worker pool (ownership moves into the job and
-    /// returns through `results`).
+    /// returns through `results`), and for good once a worker panic lost
+    /// the die.
     dies: Vec<Option<Die<P>>>,
     sq: SubmissionQueue,
     cq: CompletionQueue,
@@ -356,16 +388,16 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// ring doorbell; draining into this keeps the hot path allocation-free
     /// once it reaches steady state).
     batch_scratch: Vec<IoRequest>,
-    /// Externally attached pool slice (rd-serve shards share one pool).
-    /// When set, every flash phase runs on it.
+    /// The pool every flash phase runs on: a slice of a shared pool set by
+    /// [`Engine::attach_pool`], or an engine-owned pool built on first use.
     pool: Option<PoolHandle>,
-    /// Lazily built engine-owned pool, used when no external pool is
-    /// attached and the caller asks for more than one worker. Rebuilt if a
-    /// later call asks for a different size.
-    owned_pool: Option<Arc<WorkerPool>>,
-    /// Persistent result channel for pool dispatch (created on first use;
-    /// workers hold clones of the sender only while jobs are in flight).
-    results: Option<ResultChannel<P>>,
+    /// Lane count of the engine-owned pool; `None` while no pool is built
+    /// or an attached one is in use. A call asking for a different size
+    /// rebuilds the owned pool.
+    owned_lanes: Option<usize>,
+    /// Result channel for pool jobs. The engine keeps a sender, so a
+    /// receive never fails; a job whose die panicked still reports.
+    results: ResultChannel<P>,
     /// Flash phase in flight (between `begin_batch` and `join_batch`).
     flight: Option<Flight>,
     /// Joined flash phase awaiting `finish_batch`.
@@ -403,8 +435,8 @@ impl Engine<NoMitigation> {
 
 impl<P: ControllerPolicy + Clone> Engine<P> {
     /// Creates an engine running one clone of `policy` per die — the same
-    /// [`ControllerPolicy`] implementations the single-chip [`rd_ftl::Ssd`]
-    /// accepts plug in unchanged, with per-die state.
+    /// [`ControllerPolicy`] implementations a standalone [`Die`] accepts
+    /// plug in unchanged, with per-die state.
     ///
     /// # Errors
     ///
@@ -434,8 +466,8 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             spare_work: vec![Vec::new(); nd],
             batch_scratch: Vec::new(),
             pool: None,
-            owned_pool: None,
-            results: None,
+            owned_lanes: None,
+            results: mpsc::channel(),
             flight: None,
             joined: None,
             stage_ns: EngineStageNs::default(),
@@ -471,10 +503,12 @@ impl<P: ControllerPolicy> Engine<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `die` is out of range, or while that die's flash phase is
-    /// in flight on the pool (call [`Engine::join_batch`] first).
+    /// Panics if `die` is out of range, while that die's flash phase is
+    /// in flight on the pool (call [`Engine::join_batch`] first), or once a
+    /// worker panic lost it.
     pub fn die(&self, die: u32) -> &Die<P> {
-        self.dies[die as usize].as_ref().expect("die's flash phase in flight; join_batch() first")
+        let d = die as usize;
+        self.dies[d].as_ref().unwrap_or_else(|| missing_die(d, self.flight.is_some()))
     }
 
     /// Mutable access to a die (experiments may pre-wear chips or inject
@@ -482,10 +516,12 @@ impl<P: ControllerPolicy> Engine<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `die` is out of range, or while that die's flash phase is
-    /// in flight on the pool (call [`Engine::join_batch`] first).
+    /// Panics if `die` is out of range, while that die's flash phase is
+    /// in flight on the pool (call [`Engine::join_batch`] first), or once a
+    /// worker panic lost it.
     pub fn die_mut(&mut self, die: u32) -> &mut Die<P> {
-        self.dies[die as usize].as_mut().expect("die's flash phase in flight; join_batch() first")
+        let (d, in_flight) = (die as usize, self.flight.is_some());
+        self.dies[d].as_mut().unwrap_or_else(|| missing_die(d, in_flight))
     }
 
     /// Routes every subsequent flash phase to a slice of a shared
@@ -495,6 +531,7 @@ impl<P: ControllerPolicy> Engine<P> {
     /// `threads` argument of [`Engine::run`] / [`Engine::begin_batch`].
     pub fn attach_pool(&mut self, pool: PoolHandle) {
         self.pool = Some(pool);
+        self.owned_lanes = None;
     }
 
     /// Cumulative wall-clock stage counters (see [`EngineStageNs`]).
@@ -550,8 +587,8 @@ impl<P: ControllerPolicy> Engine<P> {
     ///
     /// Propagates relocation failures.
     pub fn advance_time(&mut self, days: f64) -> Result<(), FtlError> {
-        for die in &mut self.dies {
-            die.as_mut().expect("flash phase in flight; join_batch() first").advance_time(days)?;
+        for d in 0..self.dies.len() {
+            self.die_mut(d as u32).advance_time(days)?;
         }
         Ok(())
     }
@@ -560,8 +597,8 @@ impl<P: ControllerPolicy> Engine<P> {
     pub fn stats(&self) -> EngineStats {
         let mut per_die = Vec::with_capacity(self.dies.len());
         let mut totals = rd_ftl::SsdStats::default();
-        for (d, die) in self.dies.iter().enumerate() {
-            let die = die.as_ref().expect("flash phase in flight; join_batch() first");
+        for d in 0..self.dies.len() {
+            let die = self.die(d as u32);
             let ssd = die.stats();
             totals += ssd;
             let blocks = die.config().geometry.blocks;
@@ -693,8 +730,8 @@ impl<P: ControllerPolicy> Engine<P> {
         });
         w.section(SEC_DIES, |w| {
             w.put_u64(self.dies.len() as u64);
-            for die in &self.dies {
-                die.as_ref().expect("no batch in flight").encode_state(w);
+            for d in 0..self.dies.len() {
+                self.die(d as u32).encode_state(w);
             }
         });
         Ok(wire::seal(ENGINE_SNAP_MAGIC, wire::SNAP_VERSION, &w.into_bytes()))
@@ -785,8 +822,8 @@ impl<P: ControllerPolicy> Engine<P> {
                 self.dies.len()
             )));
         }
-        for die in &mut self.dies {
-            die.as_mut().expect("no batch in flight").restore_state(&mut dies)?;
+        for d in 0..self.dies.len() {
+            self.die_mut(d as u32).restore_state(&mut dies)?;
         }
         Ok(())
     }
@@ -801,47 +838,41 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     ///
     /// Equivalent to [`Engine::begin_batch`] + [`Engine::join_batch`] +
     /// [`Engine::finish_batch`] with no overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WorkerPanicked`] message if a die's flash phase
+    /// panicked.
     pub fn run(&mut self, threads: usize) -> usize {
         if self.begin_batch(threads) == 0 {
             return 0;
         }
-        self.join_batch();
-        self.finish_batch()
+        self.join_and_finish()
     }
 
     /// Drains the submission queue into per-die work lists and launches
-    /// the flash phase — on the attached [`PoolHandle`] if one is set
-    /// (then `threads` is ignored), on a lazily built engine-owned pool
-    /// for `threads > 1`, or inline on the calling thread for a single
-    /// worker. Returns the batch size; an empty submission queue returns 0
-    /// and launches nothing.
+    /// the flash phase on the engine's pool: the attached [`PoolHandle`]
+    /// if one is set (then `threads` is ignored), else an engine-owned pool
+    /// of `threads` lanes (0 = one per available core, at most one per
+    /// die), built on first use and kept for later batches. Returns the
+    /// batch size; an empty submission queue returns 0 and launches
+    /// nothing.
     ///
-    /// While a pooled flash phase is in flight, the affected dies are
-    /// owned by the pool: [`Engine::die`], [`Engine::stats`], snapshots,
-    /// and the next `begin_batch` all require [`Engine::join_batch`]
-    /// first. Submitting more requests is fine — they form the next batch.
+    /// While a flash phase is in flight, the affected dies are owned by the
+    /// pool: [`Engine::die`], [`Engine::stats`], snapshots, and the next
+    /// `begin_batch` all require [`Engine::join_batch`] first. Submitting
+    /// more requests is fine — they form the next batch.
     ///
     /// # Panics
     ///
-    /// Panics if a flash phase is already in flight.
+    /// Panics if a flash phase is already in flight, or if a worker panic
+    /// poisoned the engine.
     pub fn begin_batch(&mut self, threads: usize) -> usize {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        batch.clear();
-        self.sq.drain_into(&mut batch);
-        if batch.is_empty() {
-            self.batch_scratch = batch;
-            return 0;
+        let n = self.sq.len();
+        if n > 0 {
+            self.distribute(std::iter::empty());
+            self.spawn_flash(threads, true);
         }
-        for w in &mut self.work {
-            w.clear();
-        }
-        for req in &batch {
-            let (die, die_lpa) = self.config.topology.stripe(req.lpa);
-            self.work[die as usize].push(WorkItem { id: req.id, kind: req.kind, die_lpa });
-        }
-        let n = batch.len();
-        self.batch_scratch = batch;
-        self.spawn_flash(threads, true);
         n
     }
 
@@ -852,14 +883,22 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// and the *next* batch may begin before the timing phase of this one
     /// runs — that is the pipelining window.
     ///
+    /// # Errors
+    ///
+    /// Returns [`WorkerPanicked`] (the lowest such die) if a die's flash
+    /// phase panicked. Every other die is back in its slot, but the batch
+    /// is discarded and the engine is poisoned: later use panics naming
+    /// the lost die.
+    ///
     /// # Panics
     ///
     /// Panics if no flash phase is in flight, or if a joined batch is
     /// already awaiting [`Engine::finish_batch`].
-    pub fn join_batch(&mut self) {
+    pub fn join_batch(&mut self) -> Result<(), WorkerPanicked> {
         assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
-        let joined = self.join_flash();
+        let joined = self.join_flash()?;
         self.joined = Some(joined);
+        Ok(())
     }
 
     /// Runs the serial timing phase of the batch parked by
@@ -874,65 +913,38 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         self.timing_phase(joined)
     }
 
-    /// Runs the per-die work lists already distributed into `self.work`
-    /// (the arena the replay entry points fill directly, skipping the
-    /// submission-queue pass).
-    fn run_prepared(&mut self, threads: usize, emit: bool) -> usize {
-        self.spawn_flash(threads, emit);
-        let joined = self.join_flash();
-        self.timing_phase(joined)
+    /// [`Engine::join_batch`] + [`Engine::finish_batch`] for the fused
+    /// entry points, which surface a worker panic on the caller's thread.
+    fn join_and_finish(&mut self) -> usize {
+        if let Err(e) = self.join_batch() {
+            panic!("{e}");
+        }
+        self.finish_batch()
     }
 
     /// Phase 1 launch: dispatches every non-empty per-die work list to the
-    /// selected executor. The attached pool (if any) always runs the phase
-    /// — even with one lane, so a pipelining front-end still overlaps it
-    /// with the coordinator's timing pass. Without an attached pool,
-    /// `threads <= 1` executes inline and `threads > 1` uses the lazily
-    /// built engine-owned pool. Die `d` maps to lane `d % workers` — a
-    /// pure function of die index and pool size, so execution partitioning
-    /// (and therefore every digest) is reproducible.
+    /// engine's pool (see [`Engine::begin_batch`] for which pool). Die `d`
+    /// maps to lane `d % workers` — a pure function of die index and pool
+    /// size, so execution partitioning (and therefore every digest) is
+    /// reproducible. Each job catches a panic in its die's flash phase and
+    /// reports it through the result channel, so the lane survives.
     fn spawn_flash(&mut self, threads: usize, emit: bool) {
         assert!(self.flight.is_none(), "flash phase already in flight; call join_batch() first");
-        let nd = self.dies.len();
-        let handle = match &self.pool {
-            Some(h) => Some(h.clone()),
-            None => {
-                let t = resolve_threads(threads, nd);
-                if t <= 1 {
-                    None
-                } else {
-                    if self.owned_pool.as_ref().map(|p| p.workers()) != Some(t) {
-                        self.owned_pool = Some(Arc::new(WorkerPool::new(t)));
-                    }
-                    let pool = self.owned_pool.as_ref().expect("just built");
-                    Some(PoolHandle::all(Arc::clone(pool)))
-                }
-            }
-        };
-        let mut execs: Vec<Option<DieExec>> = Vec::with_capacity(nd);
-        let Some(handle) = handle else {
-            // Inline execution on the calling thread (identical results).
-            for d in 0..nd {
-                let die = self.dies[d].as_mut().expect("die present");
-                let exec = execute_die(
-                    die,
-                    &self.work[d],
-                    &self.config.timing,
-                    self.config.capture_read_data,
-                    self.die_digest[d],
-                    emit,
-                    d as u64,
-                    nd as u64,
-                );
-                execs.push(Some(exec));
-            }
-            self.flight = Some(Flight { execs, outstanding: 0, emit });
-            return;
-        };
-        if self.results.is_none() {
-            self.results = Some(mpsc::channel());
+        if let Some(d) = self.dies.iter().position(Option::is_none) {
+            missing_die(d, false);
         }
-        let tx = self.results.as_ref().expect("created above").0.clone();
+        let nd = self.dies.len();
+        // An attached pool runs as is; otherwise build (or resize) the
+        // engine-owned pool to the requested lane count.
+        if self.pool.is_none() || self.owned_lanes.is_some() {
+            let lanes = resolve_threads(threads, nd);
+            if self.owned_lanes != Some(lanes) {
+                self.pool = Some(PoolHandle::all(Arc::new(WorkerPool::new(lanes))));
+                self.owned_lanes = Some(lanes);
+            }
+        }
+        let pool = self.pool.as_ref().expect("attached or built above");
+        let mut execs: Vec<Option<DieExec>> = Vec::with_capacity(nd);
         let mut outstanding = 0usize;
         for d in 0..nd {
             if self.work[d].is_empty() {
@@ -940,7 +952,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 continue;
             }
             execs.push(None);
-            let die = self.dies[d].take().expect("die present");
+            let mut die = self.dies[d].take().expect("every die resident: checked above");
             // Swap in the spare arena so the next batch can fill per-die
             // work lists while this one is still out on the pool.
             let work =
@@ -949,24 +961,31 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             let timing = self.config.timing;
             let capture = self.config.capture_read_data;
             let dies_u64 = nd as u64;
-            let tx = tx.clone();
-            handle.submit(
+            let tx = self.results.0.clone();
+            pool.submit(
                 d,
                 Box::new(move || {
-                    let mut die = die;
-                    let exec = execute_die(
-                        &mut die,
-                        &work,
-                        &timing,
-                        capture,
-                        start_digest,
-                        emit,
-                        d as u64,
-                        dies_u64,
-                    );
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                        execute_die(
+                            &mut die,
+                            &work,
+                            &timing,
+                            capture,
+                            start_digest,
+                            emit,
+                            d as u64,
+                            dies_u64,
+                        )
+                    }));
+                    // A panicked die may hold broken invariants: drop it
+                    // here and report only its index.
+                    let result = match ran {
+                        Ok(exec) => Ok((d, die, work, exec)),
+                        Err(_) => Err(WorkerPanicked { die: d as u32 }),
+                    };
                     // Send fails only if the engine was dropped mid-flight;
                     // the die is discarded along with it.
-                    let _ = tx.send((d, die, work, exec));
+                    let _ = tx.send(result);
                 }),
             );
             outstanding += 1;
@@ -978,21 +997,26 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// dies and work arenas to their slots, and folds digests and
     /// cumulative per-die counters in die order (fold order is independent
     /// of completion order, so accounting is deterministic).
-    fn join_flash(&mut self) -> JoinedBatch {
+    fn join_flash(&mut self) -> Result<JoinedBatch, WorkerPanicked> {
         let flight =
             self.flight.take().expect("no flash phase in flight; call begin_batch() first");
         let Flight { mut execs, outstanding, emit } = flight;
-        if outstanding > 0 {
-            let started = Instant::now();
-            let rx = &self.results.as_ref().expect("pooled flight has a channel").1;
-            for _ in 0..outstanding {
-                let (d, die, mut work, exec) = rx.recv().expect("pool worker died");
-                self.dies[d] = Some(die);
-                work.clear();
-                self.spare_work[d] = work;
-                execs[d] = Some(exec);
+        let started = Instant::now();
+        let mut panicked: Option<WorkerPanicked> = None;
+        for _ in 0..outstanding {
+            match self.results.1.recv().expect("the engine holds a sender") {
+                Ok((d, die, mut work, exec)) => {
+                    self.dies[d] = Some(die);
+                    work.clear();
+                    self.spare_work[d] = work;
+                    execs[d] = Some(exec);
+                }
+                Err(lost) => panicked = Some(panicked.map_or(lost, |p| p.min(lost))),
             }
-            self.stage_ns.pool_wait_ns += started.elapsed().as_nanos() as u64;
+        }
+        self.stage_ns.pool_wait_ns += started.elapsed().as_nanos() as u64;
+        if let Some(lost) = panicked {
+            return Err(lost);
         }
         let execs: Vec<DieExec> =
             execs.into_iter().map(|e| e.expect("every die resolved")).collect();
@@ -1007,7 +1031,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             self.writes_failed += e.writes_failed;
             self.stage_ns.flash_ns += e.wall_ns;
         }
-        JoinedBatch { execs, emit }
+        Ok(JoinedBatch { execs, emit })
     }
 
     /// Phase 2: serial discrete-event timing over a joined batch.
@@ -1124,13 +1148,19 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// Replays a trace across the array: every op is striped to its die
     /// (engine-level `lpa % logical_pages`) and the whole trace is processed
     /// as one saturating batch. Returns the cumulative statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WorkerPanicked`] message if a die's flash phase
+    /// panicked.
     pub fn replay<I: IntoIterator<Item = TraceOp>>(
         &mut self,
         ops: I,
         threads: usize,
     ) -> EngineStats {
-        self.prepare_replay(ops);
-        self.run_prepared(threads, true);
+        self.distribute(ops);
+        self.spawn_flash(threads, true);
+        self.join_and_finish();
         self.stats()
     }
 
@@ -1138,7 +1168,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// per-die work arena — one pass, no intermediate submission-queue
     /// records. Order (and thus ids, digests, timing) is identical to
     /// `submit`-then-`run`.
-    fn prepare_replay<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I) {
+    fn distribute<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I) {
         let logical = self.logical_pages();
         for w in &mut self.work {
             w.clear();
@@ -1181,13 +1211,19 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// queue stays empty. This is the bulk-replay entry point — at
     /// billion-op trace scale the [`IoCompletion`] build/sort/queue cost
     /// dominates the analytic tiers, and a stats-only replay skips it.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WorkerPanicked`] message if a die's flash phase
+    /// panicked.
     pub fn replay_stats_only<I: IntoIterator<Item = TraceOp>>(
         &mut self,
         ops: I,
         threads: usize,
     ) -> EngineStats {
-        self.prepare_replay(ops);
-        self.run_prepared(threads, false);
+        self.distribute(ops);
+        self.spawn_flash(threads, false);
+        self.join_and_finish();
         self.stats()
     }
 }

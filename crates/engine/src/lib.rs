@@ -38,7 +38,7 @@ pub mod stats;
 pub mod timing;
 pub mod topology;
 
-pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};
+pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, WorkerPanicked, ENGINE_SNAP_MAGIC};
 pub use pool::{PoolHandle, WorkerPool};
 pub use queue::{CompletionQueue, IoCompletion, IoRequest, ReqKind, SubmissionQueue};
 pub use rd_ftl::wire;

@@ -24,6 +24,11 @@ use std::thread::JoinHandle;
 /// A unit of work shipped to a pool lane. Jobs own everything they touch
 /// (the engine moves the die itself into the closure) and report results
 /// out of band, so the pool needs no return channel of its own.
+///
+/// A job must not unwind: a panic escaping it ends its lane's worker
+/// thread and strands every later job on that lane. The engine's jobs
+/// catch a panicking flash phase and report it as
+/// [`WorkerPanicked`](crate::WorkerPanicked).
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// One worker's job lane: a FIFO queue plus the parking signal.

@@ -18,7 +18,7 @@ pub struct Topology {
 
 impl Topology {
     /// A single-channel, single-die topology — the degenerate case that must
-    /// behave exactly like the single-chip [`rd_ftl::Ssd`].
+    /// behave exactly like the single-chip [`rd_ftl::Die`].
     pub fn single() -> Self {
         Self { channels: 1, dies_per_channel: 1 }
     }

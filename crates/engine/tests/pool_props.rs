@@ -51,7 +51,7 @@ fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, pipelined: bool)
         let mut began = false;
         for batch in &batches {
             if began {
-                engine.join_batch();
+                engine.join_batch().expect("flash phase completes");
             }
             submit(&mut engine, batch);
             let n = engine.begin_batch(threads);
@@ -61,7 +61,7 @@ fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, pipelined: bool)
             began = n > 0;
         }
         if began {
-            engine.join_batch();
+            engine.join_batch().expect("flash phase completes");
             engine.finish_batch();
         }
     } else {

@@ -1,10 +1,9 @@
 //! A single flash die with its own FTL state: chip, mapping table, free
 //! list, garbage collection, refresh, and controller-policy orchestration.
 //!
-//! [`Die`] is the unit of reuse between the single-chip [`crate::Ssd`]
-//! (which wraps exactly one die) and the multi-channel/multi-die engine
-//! (`rd-engine`), which holds one `Die` per physical die and drives them in
-//! parallel. All controller semantics — out-of-place writes, greedy GC,
+//! [`Die`] is both the single-chip SSD and the unit the
+//! multi-channel/multi-die engine (`rd-engine`) arrays: the engine holds
+//! one `Die` per physical die and drives them in parallel. All controller semantics — out-of-place writes, greedy GC,
 //! wear-leveling allocation, remapping-based refresh, the ECC decode →
 //! recovery-ladder read pipeline, event-driven policy hooks — live here.
 //!
@@ -647,6 +646,125 @@ impl<P: ControllerPolicy> Die<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ReadReclaim;
+
+    fn small_die() -> Die {
+        Die::new(SsdConfig::small_test()).unwrap()
+    }
+
+    #[test]
+    fn write_read_round_trip() {
+        let mut die = small_die();
+        die.write(0).unwrap();
+        die.write(1).unwrap();
+        let r = die.read(0).unwrap();
+        assert_eq!(r.corrected_errors, 0);
+        assert_eq!(die.stats().host_writes, 2);
+        assert_eq!(die.stats().host_reads, 1);
+    }
+
+    #[test]
+    fn unwritten_read_fails() {
+        let mut die = small_die();
+        assert!(matches!(die.read(5), Err(FtlError::NotWritten { lpa: 5 })));
+        assert!(matches!(die.read(1 << 40), Err(FtlError::LpaOutOfRange { .. })));
+        assert!(matches!(die.write(1 << 40), Err(FtlError::LpaOutOfRange { .. })));
+    }
+
+    #[test]
+    fn overwrite_invalidates_and_gc_reclaims() {
+        let mut die = small_die();
+        let pages = die.map().logical_pages();
+        // Fill the logical space, then overwrite it several times: GC must
+        // keep the device writable well past one physical fill.
+        for round in 0..6u64 {
+            for lpa in 0..pages {
+                die.write(lpa).unwrap_or_else(|e| panic!("round {round} lpa {lpa}: {e}"));
+            }
+        }
+        assert!(die.stats().erases > 0, "GC never ran");
+        assert!(die.stats().waf() >= 1.0);
+        assert!(die.map().check_consistency());
+        // All data still readable.
+        for lpa in 0..pages {
+            die.read(lpa).unwrap();
+        }
+    }
+
+    #[test]
+    fn refresh_runs_on_schedule() {
+        let mut die = small_die();
+        die.write(0).unwrap();
+        die.advance_time(6.0).unwrap();
+        assert_eq!(die.stats().refreshes, 0, "too early");
+        die.advance_time(2.0).unwrap();
+        assert!(die.stats().refreshes >= 1, "refresh missed");
+        // Data survived the refresh.
+        let r = die.read(0).unwrap();
+        assert_eq!(r.corrected_errors, 0);
+        // The block holding lpa 0 is young again.
+        let st = die.chip().block_status(r.ppa.block).unwrap();
+        assert!(st.age_days < 2.0);
+    }
+
+    #[test]
+    fn read_reclaim_policy_relocates_hot_block() {
+        let mut die =
+            Die::with_policy(SsdConfig::small_test(), ReadReclaim { read_threshold: 500 }).unwrap();
+        die.write(0).unwrap();
+        let first = die.read(0).unwrap().ppa;
+        for _ in 0..600 {
+            let _ = die.read(0).unwrap();
+        }
+        assert!(die.stats().reclaims >= 1, "reclaim never fired");
+        let after = die.read(0).unwrap().ppa;
+        assert_ne!(first.block, after.block, "hot data should have moved");
+    }
+
+    #[test]
+    fn wear_spreads_across_blocks() {
+        let mut die = small_die();
+        let pages = die.map().logical_pages();
+        for _ in 0..8 {
+            for lpa in 0..pages {
+                die.write(lpa).unwrap();
+            }
+        }
+        let wear: Vec<u64> = (0..die.config().geometry.blocks)
+            .map(|b| die.chip().block_status(b).unwrap().pe_cycles)
+            .collect();
+        let max = *wear.iter().max().unwrap();
+        let min = *wear.iter().min().unwrap();
+        assert!(max >= 1);
+        assert!(max - min <= max / 2 + 2, "wear imbalance: {wear:?}");
+    }
+
+    #[test]
+    fn clock_advances_in_fractional_steps() {
+        let mut die = small_die();
+        die.write(0).unwrap();
+        die.advance_time(0.25).unwrap();
+        die.advance_time(0.25).unwrap();
+        assert!((die.clock_days() - 0.5).abs() < 1e-9);
+        die.advance_time(0.75).unwrap();
+        assert!((die.clock_days() - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn determinism() {
+        let run = || {
+            let mut die = small_die();
+            for lpa in 0..40 {
+                die.write(lpa % 8).unwrap();
+            }
+            for _ in 0..50 {
+                die.read(3).unwrap();
+            }
+            die.advance_time(9.0).unwrap();
+            die.stats()
+        };
+        assert_eq!(run(), run());
+    }
 
     #[test]
     fn die_is_directly_usable() {
@@ -776,26 +894,6 @@ mod tests {
             (corrected, die.stats())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn die_matches_ssd_bit_for_bit() {
-        // The single-chip Ssd is a wrapper over Die; drive both through the
-        // same op sequence and demand identical data and statistics.
-        let mut die = Die::new(SsdConfig::small_test()).unwrap();
-        let mut ssd = crate::Ssd::new(SsdConfig::small_test()).unwrap();
-        for lpa in 0..30u64 {
-            die.write(lpa % 8).unwrap();
-            ssd.write(lpa % 8).unwrap();
-        }
-        for _ in 0..40 {
-            let a = die.read(3).unwrap();
-            let b = ssd.read(3).unwrap();
-            assert_eq!(a, b);
-        }
-        die.advance_time(8.0).unwrap();
-        ssd.advance_time(8.0).unwrap();
-        assert_eq!(die.stats(), ssd.stats());
     }
 
     #[test]

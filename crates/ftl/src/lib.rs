@@ -20,18 +20,17 @@
 //!   controller; policy actions become background jobs whose flash work is
 //!   counted and charged to the engine clock.
 //!
-//! The per-die controller state lives in [`Die`]; [`Ssd`] wraps exactly one
-//! die (the historical single-chip API) and the multi-die engine
-//! (`rd-engine`) arrays many of them, so both share semantics by
-//! construction.
+//! The per-die controller state lives in [`Die`], which is the single-chip
+//! SSD; the multi-die engine (`rd-engine`) arrays many of them, so both
+//! share semantics by construction.
 //!
 //! ```
-//! use rd_ftl::{Ssd, SsdConfig};
+//! use rd_ftl::{Die, SsdConfig};
 //!
 //! # fn main() -> Result<(), rd_ftl::FtlError> {
-//! let mut ssd = Ssd::new(SsdConfig::small_test())?;
-//! ssd.write(3)?;             // write logical page 3
-//! let read = ssd.read(3)?;   // read it back through ECC
+//! let mut die = Die::new(SsdConfig::small_test())?;
+//! die.write(3)?;             // write logical page 3
+//! let read = die.read(3)?;   // read it back through ECC
 //! assert_eq!(read.corrected_errors, 0);
 //! # Ok(())
 //! # }
@@ -46,7 +45,6 @@ pub mod error;
 pub mod mapping;
 pub mod policy;
 pub mod recovery;
-pub mod ssd;
 pub mod stats;
 
 pub use config::SsdConfig;
@@ -60,10 +58,9 @@ pub use policy::{
 };
 pub use rd_flash::chips;
 pub use rd_flash::wire;
-pub use rd_flash::{ReadFidelity, SnapError};
+pub use rd_flash::{ReadFidelity, ReadOutcome, SnapError};
 pub use recovery::{
     DisturbReRead, LadderOutcome, ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport,
     RetrySweep, StepAttempt,
 };
-pub use ssd::Ssd;
 pub use stats::SsdStats;

@@ -78,8 +78,8 @@ pub mod prelude {
     };
     pub use rd_fleet::{Fleet, FleetConfig, FleetRow, VariationSpread};
     pub use rd_ftl::{
-        ControllerPolicy, NoMitigation, ReadReclaim, ReadResolution, RecoveryLadder, RecoveryStep,
-        Ssd, SsdConfig,
+        ControllerPolicy, Die, NoMitigation, ReadReclaim, ReadResolution, RecoveryLadder,
+        RecoveryStep, SsdConfig,
     };
     pub use rd_serve::{ServeConfig, Service, ShardPlan, TenantConfig, Traffic};
     pub use rd_workloads::{TraceGenerator, TraceStats, WorkloadProfile};

@@ -28,6 +28,11 @@
 //! bit-identical to a single-engine batch replay of the same op sequence at
 //! every pool size. The integration suite and the `ext_serve_traffic`
 //! bench gate on this.
+//!
+//! **Failure.** A die whose flash phase panics is caught at its pool job
+//! ([`rd_engine::WorkerPanicked`]); the lane keeps serving the other
+//! shards on it, the failed shard's thread panics, and every front-end
+//! wait on that shard panics with `shard {i} failed` instead of hanging.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -40,7 +45,7 @@ use rd_engine::{
     Engine, EngineConfig, EngineStageNs, EngineStats, IoCompletion, PoolHandle, ReqKind, SnapError,
     WorkerPool,
 };
-use rd_ftl::FtlError;
+use rd_ftl::{ControllerPolicy, FtlError, NoMitigation};
 
 use crate::accounting::{TenantAccounting, TenantSummary};
 use crate::shard::ShardPlan;
@@ -116,6 +121,8 @@ struct ShardReport {
 }
 
 struct ShardWorker {
+    /// Index of the shard (for failure reports).
+    shard: u32,
     sender: Sender<ShardMsg>,
     handle: Option<JoinHandle<()>>,
     /// Batch under construction for this shard.
@@ -128,6 +135,32 @@ struct ShardWorker {
     recycle: Receiver<Vec<ShardOp>>,
 }
 
+impl ShardWorker {
+    /// Fails the front-end by naming this shard: its worker thread is gone
+    /// (a panicked flash phase), so waiting on it would never end.
+    fn fail(&self) -> ! {
+        panic!("shard {} failed", self.shard)
+    }
+
+    /// One turn of a front-end wait loop on this shard.
+    fn wait(&self) {
+        if self.handle.as_ref().is_some_and(JoinHandle::is_finished) {
+            self.fail();
+        }
+        std::thread::yield_now();
+    }
+
+    /// Sends a control message carrying a reply channel and waits for the
+    /// reply.
+    fn ask<T>(&self, msg: impl FnOnce(Sender<T>) -> ShardMsg) -> T {
+        let (reply, receiver) = mpsc::channel();
+        if self.sender.send(msg(reply)).is_err() {
+            self.fail();
+        }
+        receiver.recv().unwrap_or_else(|_| self.fail())
+    }
+}
+
 /// A batch whose flash phase is on the pool: the ops are kept for tenant
 /// attribution, `base_id` maps completion ids back to batch slots.
 struct InflightBatch {
@@ -137,7 +170,10 @@ struct InflightBatch {
 
 /// Submits a batch's ops to the shard engine and launches its flash phase
 /// on the attached pool slice. Returns the id of the first request.
-fn submit_and_begin(engine: &mut Engine, batch: &[ShardOp]) -> u64 {
+fn submit_and_begin<P: ControllerPolicy + Send + 'static>(
+    engine: &mut Engine<P>,
+    batch: &[ShardOp],
+) -> u64 {
     let mut base_id = None;
     for op in batch {
         let id = engine.submit(op.kind, op.lpa);
@@ -147,11 +183,20 @@ fn submit_and_begin(engine: &mut Engine, batch: &[ShardOp]) -> u64 {
     base_id.unwrap_or(0)
 }
 
+/// Collects the shard's in-flight flash phase. A die lost to a worker panic
+/// fails the shard: its thread panics, and the front-end's waits on it
+/// report the shard instead of hanging.
+fn join<P: ControllerPolicy + Send + 'static>(engine: &mut Engine<P>) {
+    if let Err(e) = engine.join_batch() {
+        panic!("{e}");
+    }
+}
+
 /// Completes a joined batch: serial timing phase, completion drain, tenant
 /// accounting fold, buffer recycle, and the completion count the admission
-/// window watches. The caller must have called `join_batch` already.
-fn settle_batch(
-    engine: &mut Engine,
+/// window watches. The caller must have called `join` already.
+fn settle_batch<P: ControllerPolicy + Send + 'static>(
+    engine: &mut Engine<P>,
     inflight: InflightBatch,
     accounting: &mut [TenantAccounting],
     scratch: &mut Vec<IoCompletion>,
@@ -176,8 +221,8 @@ fn settle_batch(
     completed.fetch_add(1, Ordering::Release);
 }
 
-fn shard_worker_loop(
-    mut engine: Engine,
+fn shard_worker_loop<P: ControllerPolicy + Send + 'static>(
+    mut engine: Engine<P>,
     inbox: Receiver<ShardMsg>,
     completed: Arc<AtomicU64>,
     recycle: Sender<Vec<ShardOp>>,
@@ -196,7 +241,7 @@ fn shard_worker_loop(
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) => {
                     let prev = inflight.take().expect("checked above");
-                    engine.join_batch();
+                    join(&mut engine);
                     settle_batch(
                         &mut engine,
                         prev,
@@ -228,7 +273,7 @@ fn shard_worker_loop(
                     // phase, launch the new one, and only then run the
                     // previous batch's timing + accounting while the pool
                     // executes the new flash phase.
-                    engine.join_batch();
+                    join(&mut engine);
                     let base_id = submit_and_begin(&mut engine, &batch);
                     settle_batch(
                         &mut engine,
@@ -248,7 +293,7 @@ fn shard_worker_loop(
             control => {
                 // Control messages observe fully settled state.
                 if let Some(prev) = inflight.take() {
-                    engine.join_batch();
+                    join(&mut engine);
                     settle_batch(
                         &mut engine,
                         prev,
@@ -286,7 +331,7 @@ fn shard_worker_loop(
     // Inbox disconnected with a batch still on the pool (front-end dropped
     // without a shutdown message): settle so the engine drops consistent.
     if let Some(prev) = inflight.take() {
-        engine.join_batch();
+        join(&mut engine);
         settle_batch(
             &mut engine,
             prev,
@@ -318,6 +363,15 @@ impl Service {
     /// Propagates engine construction failures; panics on an invalid
     /// shard/topology split (see [`ShardPlan::new`]).
     pub fn start(config: ServeConfig, tenants: Vec<TenantConfig>) -> Result<Self, FtlError> {
+        Self::start_with_policy(config, tenants, NoMitigation)
+    }
+
+    /// [`Service::start`] with `policy` cloned onto every die.
+    fn start_with_policy<P: ControllerPolicy + Clone + Send + 'static>(
+        config: ServeConfig,
+        tenants: Vec<TenantConfig>,
+        policy: P,
+    ) -> Result<Self, FtlError> {
         assert!(!tenants.is_empty(), "need at least one tenant");
         assert!(config.batch_ops > 0, "batch_ops must be positive");
         assert!(config.max_inflight_batches > 0, "admission window must be positive");
@@ -330,7 +384,8 @@ impl Service {
         let pool = Arc::new(WorkerPool::new(pool_threads));
         let mut workers = Vec::with_capacity(config.shards as usize);
         for shard in 0..config.shards {
-            let mut engine = Engine::new(plan.shard_config(&config.engine, shard))?;
+            let mut engine =
+                Engine::with_policy(plan.shard_config(&config.engine, shard), policy.clone())?;
             let (lane_lo, lane_count) =
                 pool_slice(pool_threads, config.shards as usize, shard as usize);
             engine.attach_pool(PoolHandle::slice(Arc::clone(&pool), lane_lo, lane_count));
@@ -346,6 +401,7 @@ impl Service {
                 })
                 .expect("spawn shard worker");
             workers.push(ShardWorker {
+                shard,
                 sender,
                 handle: Some(handle),
                 pending: Vec::with_capacity(config.batch_ops),
@@ -395,6 +451,10 @@ impl Service {
     /// Blocks (spin-yield) while the shard's admission window is closed —
     /// open-loop arrivals beyond the device's throughput become queueing
     /// delay here instead of unbounded memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the shard if its worker died.
     pub fn submit(&mut self, op: ServiceOp) {
         let (shard, shard_lpa) = self.plan.route(op.lpa);
         let worker = &mut self.workers[shard as usize];
@@ -407,19 +467,26 @@ impl Service {
 
     fn ship(worker: &mut ShardWorker, window: u64, batch_ops: usize) {
         while worker.submitted - worker.completed.load(Ordering::Acquire) >= window {
-            std::thread::yield_now();
+            worker.wait();
         }
         // Reuse a settled batch's buffer when one has cycled back; the
         // steady-state hot loop then ships without allocating.
         let mut replacement = worker.recycle.try_recv().unwrap_or_default();
         replacement.reserve(batch_ops);
         let batch = std::mem::replace(&mut worker.pending, replacement);
-        worker.sender.send(ShardMsg::Batch(batch)).expect("shard worker alive");
+        if worker.sender.send(ShardMsg::Batch(batch)).is_err() {
+            worker.fail();
+        }
         worker.submitted += 1;
     }
 
     /// Ships every partially-filled batch and waits until all shards have
     /// drained their queues.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the shard (`shard {i} failed`) if a shard worker
+    /// died.
     pub fn flush(&mut self) {
         for worker in &mut self.workers {
             if !worker.pending.is_empty() {
@@ -428,7 +495,7 @@ impl Service {
         }
         for worker in &self.workers {
             while worker.completed.load(Ordering::Acquire) < worker.submitted {
-                std::thread::yield_now();
+                worker.wait();
             }
         }
     }
@@ -452,7 +519,7 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker died (its report channel hangs up).
+    /// Panics naming the shard if a shard worker died.
     pub fn report(&mut self, wall_s: f64) -> ServiceReport {
         self.flush();
         let mut shard_stats = Vec::with_capacity(self.workers.len());
@@ -460,9 +527,7 @@ impl Service {
             vec![TenantAccounting::default(); self.tenants.len()];
         let mut stage = ServiceStageNs::default();
         for worker in &self.workers {
-            let (reply, receiver) = mpsc::channel();
-            worker.sender.send(ShardMsg::Report(reply)).expect("shard worker alive");
-            let shard = receiver.recv().expect("shard worker alive");
+            let shard = worker.ask(ShardMsg::Report);
             for (merged, part) in tenant_accounting.iter_mut().zip(&shard.tenants) {
                 merged.merge(part);
             }
@@ -498,14 +563,12 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker died.
+    /// Panics naming the shard if a shard worker died.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, SnapError> {
         self.flush();
         let mut shards = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
-            let (reply, receiver) = mpsc::channel();
-            worker.sender.send(ShardMsg::Snapshot(reply)).expect("shard worker alive");
-            shards.push(receiver.recv().expect("shard worker alive")?);
+            shards.push(worker.ask(ShardMsg::Snapshot)?);
         }
         let mut payload = Writer::new();
         payload.section(SEC_SHARDS, |w| {
@@ -530,7 +593,7 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker died.
+    /// Panics naming the shard if a shard worker died.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         self.flush();
         let payload = wire::open(bytes, SERVICE_SNAP_MAGIC, SERVICE_SNAP_VERSION)?;
@@ -554,9 +617,7 @@ impl Service {
             return Err(SnapError::Mismatch("trailing bytes after shard section".into()));
         }
         for (worker, blob) in self.workers.iter().zip(blobs) {
-            let (reply, receiver) = mpsc::channel();
-            worker.sender.send(ShardMsg::Restore(blob, reply)).expect("shard worker alive");
-            receiver.recv().expect("shard worker alive")?;
+            worker.ask(|reply| ShardMsg::Restore(blob, reply))?;
         }
         Ok(())
     }
@@ -743,6 +804,57 @@ mod tests {
         other_shape.shards = 1;
         let mut single = Service::start(other_shape, tenants()).unwrap();
         assert!(matches!(single.restore(&snap).err(), Some(SnapError::Mismatch(_))));
+    }
+
+    /// Test fixture: panics on the `n`th host read that reaches the array.
+    #[derive(Debug, Clone)]
+    struct PanicOnRead {
+        n: u64,
+        seen: u64,
+    }
+
+    impl ControllerPolicy for PanicOnRead {
+        fn name(&self) -> &'static str {
+            "panic-on-read"
+        }
+
+        fn on_read(
+            &mut self,
+            _ctx: &mut rd_ftl::PolicyContext<'_>,
+            _block: u32,
+            _outcome: &rd_ftl::ReadOutcome,
+        ) -> Vec<rd_ftl::PolicyAction> {
+            self.seen += 1;
+            assert!(self.seen < self.n, "injected panic on read {}", self.n);
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn flush_names_a_failed_shard_instead_of_hanging() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
+
+        // The front-end runs on a helper thread so a hang fails this test
+        // on the timeout instead of wedging the test binary.
+        let (done_tx, done) = mpsc::channel::<()>();
+        let front_end = std::thread::spawn(move || {
+            let _done = done_tx;
+            let policy = PanicOnRead { n: 2, seen: 0 };
+            let mut service =
+                Service::start_with_policy(ServeConfig::small_test(), tenants(), policy).unwrap();
+            // lpa 0 routes to shard 0; its second read panics in the pool.
+            for kind in [ReqKind::Write, ReqKind::Read, ReqKind::Read] {
+                service.submit(crate::tenant::ServiceOp { time_s: 0.0, tenant: 0, kind, lpa: 0 });
+            }
+            service.flush();
+        });
+        if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(Duration::from_secs(10)) {
+            panic!("flush still waiting on a failed shard after 10 s");
+        }
+        let payload = front_end.join().expect_err("flush must fail");
+        let message = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
+        assert_eq!(message, "shard 0 failed");
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn ssd_config() -> SsdConfig {
 /// Replays two weeks of a read-hot workload against an SSD, returning
 /// (corrected bits, uncorrectable reads, mean tuned reduction %).
 fn replay<P: ControllerPolicy>(
-    mut ssd: Ssd<P>,
+    mut ssd: Die<P>,
 ) -> Result<(u64, u64, f64), Box<dyn std::error::Error>> {
     // Pre-wear the device so disturb effects are visible within the demo.
     for b in 0..ssd.config().geometry.blocks {
@@ -77,10 +77,10 @@ fn replay<P: ControllerPolicy>(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("replaying 2 weeks of a web-search-like workload (thinned)...\n");
 
-    let baseline = Ssd::new(ssd_config())?;
+    let baseline = Die::new(ssd_config())?;
     let (bits_base, loss_base, _) = replay(baseline)?;
 
-    let tuned = Ssd::with_policy(ssd_config(), VpassTuningPolicy::default())?;
+    let tuned = Die::with_policy(ssd_config(), VpassTuningPolicy::default())?;
     let (bits_tuned, loss_tuned, reduction) = replay(tuned)?;
 
     println!("{:<22} {:>16} {:>16}", "", "baseline", "vpass-tuning");

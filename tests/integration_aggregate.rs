@@ -187,7 +187,7 @@ fn aggregate_replay_is_thread_count_invariant() {
 fn recovery_ladder_escalates_on_aggregate_tier() {
     for fidelity in [ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate] {
         let config = SsdConfig::small_test().with_fidelity(fidelity);
-        let mut ssd = Ssd::new(config).unwrap();
+        let mut ssd = Die::new(config).unwrap();
         // Pre-wear the array, then land the page and disturb its block hard.
         for b in 0..ssd.config().geometry.blocks {
             ssd.chip_mut().cycle_block(b, 6_000).unwrap();
@@ -228,7 +228,7 @@ fn recovery_ladder_escalates_on_aggregate_tier() {
 #[test]
 fn read_reclaim_policy_works_on_aggregate_tier() {
     let config = SsdConfig::small_test().with_fidelity(ReadFidelity::BlockAggregate);
-    let mut ssd = Ssd::with_policy(config, ReadReclaim { read_threshold: 500 }).unwrap();
+    let mut ssd = Die::with_policy(config, ReadReclaim { read_threshold: 500 }).unwrap();
     ssd.write(0).unwrap();
     let first = ssd.read(0).unwrap().ppa;
     for _ in 0..600 {
@@ -244,7 +244,7 @@ fn read_reclaim_policy_works_on_aggregate_tier() {
 #[test]
 fn aggregate_reads_are_payload_free_and_oracles_fail_typed() {
     let config = SsdConfig::small_test().with_fidelity(ReadFidelity::BlockAggregate);
-    let mut ssd = Ssd::new(config).unwrap();
+    let mut ssd = Die::new(config).unwrap();
     ssd.write(0).unwrap();
     let r = ssd.read(0).unwrap();
     assert!(r.data.is_empty(), "aggregate host reads must be payload-free");

@@ -77,7 +77,7 @@ fn ecc_capability_gates_ssd_data_loss() {
     // uncorrectable ones on a disturbed device — the ECC line is what
     // stands between disturb and data loss.
     let run = |capability: f64| -> u64 {
-        let mut ssd = Ssd::new(SsdConfig {
+        let mut ssd = Die::new(SsdConfig {
             chip: readdisturb::flash::chips::DEFAULT_CHIP.to_string(),
             geometry: Geometry {
                 blocks: 8,

@@ -1,7 +1,7 @@
 //! Engine ↔ single-chip parity: a 1-channel × 1-die engine must reproduce
-//! the single-chip `Ssd` bit for bit — same read payloads, same corrected
-//! error totals, same per-block read-disturb accumulation — because both
-//! wrap the same `rd_ftl::Die` with the same seed.
+//! a standalone `Die` bit for bit — same read payloads, same corrected
+//! error totals, same per-block read-disturb accumulation — because its one
+//! die is the same `rd_ftl::Die` with the same seed.
 
 use readdisturb::ftl::FtlError;
 use readdisturb::prelude::*;
@@ -32,7 +32,7 @@ fn single_die_engine_matches_single_chip_ssd() {
     let ops = trace(seed, 6_000);
 
     // Reference run: the existing synchronous single-chip SSD.
-    let mut ssd = Ssd::new(die_config(seed)).unwrap();
+    let mut ssd = Die::new(die_config(seed)).unwrap();
     let logical = ssd.map().logical_pages();
     let mut expected_reads = Vec::new();
     for op in &ops {

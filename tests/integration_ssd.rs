@@ -23,8 +23,8 @@ fn config(seed: u64) -> SsdConfig {
 }
 
 /// Replay a thinned trace for `days`; returns the SSD for inspection.
-fn replay(seed: u64, days: f64, profile: &str) -> Ssd {
-    let mut ssd = Ssd::new(config(seed)).unwrap();
+fn replay(seed: u64, days: f64, profile: &str) -> Die {
+    let mut ssd = Die::new(config(seed)).unwrap();
     let profile = WorkloadProfile::by_name(profile).unwrap();
     let logical = ssd.map().logical_pages();
     let mut gen = profile.generator(seed, ssd.config().geometry.pages_per_block());
@@ -94,7 +94,7 @@ fn full_stack_determinism() {
 
 #[test]
 fn read_reclaim_policy_on_full_stack() {
-    let mut ssd = Ssd::with_policy(config(7), ReadReclaim { read_threshold: 2_000 }).unwrap();
+    let mut ssd = Die::with_policy(config(7), ReadReclaim { read_threshold: 2_000 }).unwrap();
     for lpa in 0..8 {
         ssd.write(lpa).unwrap();
     }
